@@ -18,6 +18,16 @@ Endpoints::
     GET  /v1/product/<vendor>/<product>   consolidated product view
     POST /v1/severity/predict             §4.3 prediction for a posted body
 
+Transport: connections are HTTP/1.1 keep-alive.  Accepted sockets set
+``TCP_NODELAY``, and the handler's ``wfile`` holds each response until
+``handle_one_request`` flushes it, so the status line, headers and body
+leave in one ``sendall``; a persistent client never waits on a delayed
+ACK for the body.  A POST whose ``Content-Length`` is missing,
+non-numeric or negative gets a 400, and one claiming more than
+:data:`MAX_BODY_BYTES` a 413 without the body being read; each such
+answer closes the connection and is counted in
+``repro_http_rejected_total{reason=}``.
+
 Telemetry: every request feeds the service's
 :class:`repro.obs.MetricsRegistry` — ``repro_http_requests_total``
 labelled by endpoint and status, a fixed-bucket per-endpoint latency
@@ -87,6 +97,7 @@ import collections
 import dataclasses
 import datetime
 import http.server
+import io
 import json
 import os
 import pathlib
@@ -137,6 +148,20 @@ REQUEST_LATENCY_BUCKETS = (
 
 #: accepted shape for a client-supplied X-Repro-Trace-Id.
 _TRACE_ID_RE = re.compile(r"[0-9a-fA-F-]{1,64}")
+
+#: the largest request body the transport reads.  A predict body is a
+#: CVSS v2 vector plus an optional description, well under 1 KiB; a
+#: longer claimed ``Content-Length`` is refused (413) before any read,
+#: so the claim never sizes an allocation.
+MAX_BODY_BYTES = 64 * 1024
+
+#: accepted shape for a ``Content-Length`` value (no sign, no ``_``).
+_CONTENT_LENGTH_RE = re.compile(r"[0-9]{1,19}")
+
+#: ``reason`` labels of ``repro_http_rejected_total``: requests the
+#: transport answers itself, before routing, because their framing is
+#: unusable.
+REJECT_REASONS = ("length_missing", "length_invalid", "body_too_large")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -340,6 +365,11 @@ class NvdService:
             REQUEST_LATENCY_BUCKETS,
             labels=("endpoint",),
         )
+        self._prom_rejected = registry.counter(
+            "repro_http_rejected_total",
+            "Requests refused by the transport before routing, by reason.",
+            labels=("reason",),
+        )
         self._prom_cache = registry.counter(
             "repro_http_cache_total",
             "Response-cache lookups on cacheable routes.",
@@ -443,6 +473,8 @@ class NvdService:
             self._g_batch_window,
         ):
             metric.labels()
+        for reason in REJECT_REASONS:
+            self._prom_rejected.labels(reason)
         self._info_series = None
         return registry
 
@@ -677,6 +709,31 @@ class NvdService:
         response = ServiceResponse(status, body_bytes, "application/json", trace_id)
         return self._finish(response, route, method, raw_path, started, False)
 
+    def reject(
+        self,
+        method: str,
+        path: str,
+        status: int,
+        reason: str,
+        message: str,
+        trace_id: str | None = None,
+    ) -> ServiceResponse:
+        """Answer a request the transport refuses to read (bad framing).
+
+        Counted under ``repro_http_rejected_total{reason=}`` and, like a
+        routed request, in the request series and the access log.
+        """
+        started = time.perf_counter()
+        if trace_id is None or not _TRACE_ID_RE.fullmatch(trace_id):
+            trace_id = perf.new_trace_id()
+        self._prom_rejected.labels(reason).inc()
+        self._bump("requests_total")
+        self._bump(f"responses_{status // 100}xx")
+        body = json.dumps({"error": message}).encode("utf-8")
+        response = ServiceResponse(status, body, "application/json", trace_id)
+        route = self._route_label(method, path.partition("?")[0])
+        return self._finish(response, route, method, path, started, False)
+
     def _finish(
         self,
         response: ServiceResponse,
@@ -904,29 +961,101 @@ class NvdService:
         return render_prometheus(self.registry, registry_from_perf(perf.get_recorder()))
 
 
+class _OneWriteFile(io.BufferedIOBase):
+    """The handler's ``wfile``: keeps what is written until ``flush()``,
+    then sends it with one ``sendall``.
+
+    ``BaseHTTPRequestHandler.handle_one_request`` flushes once after
+    each request, so the status line, headers and body of a response
+    leave together; a small response is one TCP segment, and a
+    keep-alive client never waits on its delayed ACK for the body.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._pending: list[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data: bytes) -> int:  # type: ignore[override]
+        self._pending.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        if self._pending:
+            data = b"".join(self._pending)
+            self._pending.clear()
+            self._sock.sendall(data)
+
+
 class ApiHandler(http.server.BaseHTTPRequestHandler):
-    """Thin adapter from the socket layer to :meth:`NvdService.handle`."""
+    """Thin adapter from the socket layer to :meth:`NvdService.handle`.
+
+    Keep-alive clients get each response in one write on a
+    ``TCP_NODELAY`` socket.  A POST whose ``Content-Length`` is missing,
+    non-numeric or negative gets a 400, and one claiming more than
+    :data:`MAX_BODY_BYTES` a 413; either way the body is not read and
+    the connection closes after the response.
+    """
 
     server_version = SERVICE_NAME
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _OneWriteFile(self.connection)
+
+    def handle_expect_100(self) -> bool:
+        # The client holds the body back until it sees the interim
+        # response, so that one cannot wait for the end-of-request flush.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # metrics and the JSONL access log replace stderr chatter
 
     def _respond(self, method: str) -> None:
         service: NvdService = self.server.service  # type: ignore[attr-defined]
+        trace_id = self.headers.get("X-Repro-Trace-Id")
         body = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+            length, refusal = self._content_length()
+            if refusal is not None:
+                # The body stays unread, so this connection cannot carry
+                # another request: answer, then close it.
+                response = service.reject(method, self.path, *refusal, trace_id=trace_id)
+                self._send(response, close=True)
+                return
             body = self.rfile.read(length) if length else b""
-        response = service.handle(
-            method, self.path, body, trace_id=self.headers.get("X-Repro-Trace-Id")
-        )
+        self._send(service.handle(method, self.path, body, trace_id=trace_id))
+
+    def _content_length(self) -> tuple[int, tuple[int, str, str] | None]:
+        """The body length, or a refusal ``(status, reason, message)``."""
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            return 0, (400, "length_missing", "Content-Length is required")
+        if not _CONTENT_LENGTH_RE.fullmatch(raw.strip()):
+            return 0, (400, "length_invalid", f"bad Content-Length {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            return 0, (
+                413,
+                "body_too_large",
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES} bytes",
+            )
+        return length, None
+
+    def _send(self, response: ServiceResponse, close: bool = False) -> None:
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))
         if response.trace_id:
             self.send_header("X-Repro-Trace-Id", response.trace_id)
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(response.body)
 

@@ -12,6 +12,7 @@ from repro.cpe import (
     parse_formatted_string,
     parse_uri,
 )
+from repro.cpe import wfn
 
 
 class TestWfn:
@@ -128,3 +129,104 @@ class TestParseDispatch:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="unrecognized"):
             parse_cpe("not-a-cpe")
+
+
+def _split_escaped(text):
+    """The escape-aware split, character by character (the reference
+    the no-backslash fast path must agree with)."""
+    parts, current, escaped = [], [], False
+    for char in text:
+        if escaped:
+            current.append(char)
+            escaped = False
+        elif char == "\\":
+            current.append(char)
+            escaped = True
+        elif char == ":":
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(char)
+    parts.append("".join(current))
+    return parts
+
+
+# Plain values (fast paths) and values with backslashes, colons and
+# other specials (escaped paths).
+CODEC_VALUES = [
+    "windows",
+    "node.js",
+    "linux_kernel",
+    "8.1-rc2",
+    "Mixed.Case",
+    "avast!",
+    "one:two",
+    "back\\slash",
+    "trailing\\",
+    "c++",
+    "x*y?z",
+    "50%",
+    "a b",
+    "café",
+    "::",
+]
+
+
+class TestCodecFastPaths:
+    @pytest.mark.parametrize("value", CODEC_VALUES)
+    def test_unbind_of_escaped_value_is_the_lowercased_value(self, value):
+        escaped = wfn._escape_fs(value)
+        assert wfn._unbind_fs_value(escaped) == value.lower()
+
+    @pytest.mark.parametrize("value", CODEC_VALUES)
+    def test_unbind_fast_path_agrees_with_unescape(self, value):
+        for text in (value, wfn._escape_fs(value)):
+            if text in ("*", "-"):
+                continue
+            assert wfn._unbind_fs_value(text) == wfn._unescape_fs(text).lower()
+
+    def test_split_agrees_with_escape_aware_split(self):
+        texts = [":".join(CODEC_VALUES)]  # raw colons, some backslashes
+        texts += [":".join(wfn._escape_fs(v) for v in CODEC_VALUES)]
+        texts += [
+            ":".join(v for v in CODEC_VALUES if "\\" not in v),  # fast path
+            "a:microsoft:windows:8.1:*:*:*:*:*:*:*",
+            "",
+            ":",
+        ]
+        for text in texts:
+            assert wfn._split_fs(text) == _split_escaped(text), text
+
+    @pytest.mark.parametrize("value", CODEC_VALUES)
+    def test_bind_matches_attribute_order_binding(self, value):
+        value = value.lower()
+        name = CpeName("a", value, "product", version=value, other=NA)
+        reference = "cpe:2.3:" + ":".join(
+            wfn._bind_fs_value(v) if attr != "part" else v
+            for attr, v in name.attributes().items()
+        )
+        assert bind_to_formatted_string(name) == reference
+        assert parse_formatted_string(reference) == name
+
+    def test_uppercase_input_still_lowercases_on_both_paths(self):
+        plain = parse_formatted_string("cpe:2.3:a:Microsoft:Windows:*:*:*:*:*:*:*:*")
+        escaped = parse_formatted_string("cpe:2.3:a:Avast\\!:Windows:*:*:*:*:*:*:*:*")
+        assert (plain.vendor, plain.product) == ("microsoft", "windows")
+        assert (escaped.vendor, escaped.product) == ("avast!", "windows")
+
+    def test_escape_fast_path_matches_per_character_escaping(self, snapshot):
+        values = {
+            value
+            for entry in snapshot.entries
+            for cpe in entry.cpes
+            for value in cpe.attributes().values()
+            if isinstance(value, str)
+        } | {value.lower() for value in CODEC_VALUES}
+        for value in sorted(values):
+            reference = "".join(
+                char if char.isascii() and (char.isalnum() or char in "._-")
+                else "\\" + char
+                for char in value
+            )
+            assert wfn._escape_fs(value) == reference
+            assert wfn._unescape_fs(reference) == value

@@ -1,6 +1,9 @@
 """NVD JSON feed serialisation round-trips."""
 
 import datetime
+import gc
+import gzip
+import sys
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.nvd import (
     load_feed,
     save_feed,
 )
+from repro.nvd import feed
 
 
 @pytest.fixture()
@@ -84,3 +88,66 @@ class TestFiles:
         path = tmp_path / "subset.json"
         save_feed(entries, path)
         assert load_feed(path) == entries
+
+
+class TestCodecMemos:
+    """One load or save shares per-call memos of its dates, vectors and
+    scores; sharing must not change a value, and nothing may outlive
+    the call."""
+
+    def test_shared_memos_equal_a_fresh_codec_per_item(self, snapshot):
+        entries = snapshot.entries
+        document = entries_to_feed(entries)
+        assert document["CVE_Items"] == [
+            feed._entry_to_item(entry, feed._Codec()) for entry in entries
+        ]
+        parsed = entries_from_feed(document)
+        assert parsed == [
+            feed._item_to_entry(item, feed._Codec()) for item in document["CVE_Items"]
+        ]
+        assert parsed == entries
+
+    def test_one_load_shares_equal_vectors_and_dates(self, snapshot):
+        parsed = entries_from_feed(entries_to_feed(snapshot.entries))
+        vectors = [entry.cvss_v2 for entry in parsed if entry.cvss_v2 is not None]
+        dates = [entry.published for entry in parsed]
+        assert len({id(v) for v in vectors}) == len(set(vectors)) < len(vectors)
+        assert len({id(d) for d in dates}) == len(set(dates)) < len(dates)
+
+    def test_no_memo_outlives_a_load_or_a_save(self, snapshot, tmp_path):
+        small, full = tmp_path / "small.json.gz", tmp_path / "full.json.gz"
+        save_feed(snapshot.entries[:5], small)
+        save_feed(load_feed(small), tmp_path / "small-again.json")  # warm-up
+        save_feed(snapshot.entries, full)
+        gc.collect()
+        before = sys.getallocatedblocks()
+        save_feed(load_feed(full), tmp_path / "full-again.json")
+        gc.collect()
+        # A process-wide memo would keep thousands of keys and values.
+        assert sys.getallocatedblocks() - before < 100
+
+    def test_a_malformed_vector_fails_every_time_it_appears(self, rich_entry):
+        item = entries_to_feed([rich_entry])["CVE_Items"][0]
+        item["impact"]["baseMetricV2"]["cvssV2"]["vectorString"] = "AV:N/AC:L"
+        good = entries_to_feed([rich_entry])["CVE_Items"][0]
+        document = {"CVE_data_type": "CVE", "CVE_Items": [item, item, good]}
+        first, second, third = entries_from_feed(document)
+        assert first.cvss_v2 is None and second.cvss_v2 is None
+        assert third.cvss_v2 == rich_entry.cvss_v2
+
+    def test_unhashable_vector_degrades_to_absent(self, rich_entry):
+        item = entries_to_feed([rich_entry])["CVE_Items"][0]
+        item["impact"]["baseMetricV2"]["cvssV2"]["vectorString"] = ["AV:N"]
+        item["impact"]["baseMetricV3"]["cvssV3"]["vectorString"] = {"AV": "N"}
+        entry = entries_from_feed({"CVE_data_type": "CVE", "CVE_Items": [item]})[0]
+        assert entry.cvss_v2 is None and entry.cvss_v3 is None
+
+    def test_save_feed_bytes_survive_a_round_trip(self, snapshot, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_feed(snapshot.entries, first)
+        save_feed(load_feed(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        gz = tmp_path / "third.json.gz"
+        save_feed(load_feed(second), gz)
+        with gzip.open(gz, "rb") as handle:
+            assert handle.read() == first.read_bytes()
