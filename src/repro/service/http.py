@@ -194,6 +194,14 @@ class AccessLog:
                 self._handle.close()
 
 
+def _accepted_trace_id(trace_id: str | None) -> str:
+    """A client's ``X-Repro-Trace-Id`` when it is usable, else a new id
+    (an unusable value is never trusted into logs)."""
+    if trace_id is None or not _TRACE_ID_RE.fullmatch(trace_id):
+        return perf.new_trace_id()
+    return trace_id
+
+
 def _int_param(
     params: dict[str, list[str]],
     name: str,
@@ -643,8 +651,7 @@ class NvdService:
         type, and the trace id the transport layer echoes back.
         """
         started = time.perf_counter()
-        if trace_id is None or not _TRACE_ID_RE.fullmatch(trace_id):
-            trace_id = perf.new_trace_id()
+        trace_id = _accepted_trace_id(trace_id)
         self.maybe_reload()
         # One state snapshot per request: dispatch and the cache key use
         # the same version, so a hot swap mid-request can at worst store
@@ -724,8 +731,7 @@ class NvdService:
         routed request, in the request series and the access log.
         """
         started = time.perf_counter()
-        if trace_id is None or not _TRACE_ID_RE.fullmatch(trace_id):
-            trace_id = perf.new_trace_id()
+        trace_id = _accepted_trace_id(trace_id)
         self._prom_rejected.labels(reason).inc()
         self._bump("requests_total")
         self._bump(f"responses_{status // 100}xx")

@@ -31,19 +31,12 @@ class RecordingSocket:
     def setsockopt(self, level: int, option: int, value: object) -> None:
         self.options[(level, option)] = value
 
-    def settimeout(self, timeout: float | None) -> None:
-        pass
-
     def makefile(self, mode: str, buffering: int = -1) -> io.BytesIO:
         assert "r" in mode, "responses must go through sendall"
         return io.BytesIO(self._request)
 
     def sendall(self, data: bytes) -> None:
         self.writes.append(bytes(data))
-
-    def send(self, data: bytes) -> int:
-        self.writes.append(bytes(data))
-        return len(data)
 
 
 @pytest.fixture(scope="module")
