@@ -70,6 +70,7 @@ import concurrent.futures.process
 import os
 import pickle
 import signal
+import time
 from collections.abc import Callable, Sequence
 from typing import Any, TypeVar
 
@@ -376,6 +377,9 @@ class ProcessExecutor(_PooledExecutor):
     #: map attempts across pool deaths (first try + respawned retries).
     MAP_ATTEMPTS = 3
 
+    #: seconds the ``worker:kill`` fault waits for the pool to notice.
+    KILL_NOTICE_S = 10.0
+
     def __init__(self, workers: int = 2, context: WorkerContext | None = None) -> None:
         super().__init__(workers, context)
         self._pool_generation = -1
@@ -427,12 +431,26 @@ class ProcessExecutor(_PooledExecutor):
         fire globally-once instead of once per forked worker.  A warmup
         task forces the pool to actually spawn its processes first —
         otherwise there is nobody to kill.
+
+        Returns once the pool has seen the death.  The pool's manager
+        thread reads pending results before it checks worker liveness,
+        so a map issued right after the kill could finish on the
+        surviving workers and never break; probing with warmup tasks
+        until one raises makes the fault break the next map every time.
         """
         assert self._pool is not None
         self._pool.submit(_warmup).result()
         pids = self.worker_pids()
-        if pids:
-            os.kill(min(pids), signal.SIGKILL)
+        if not pids:
+            return
+        os.kill(min(pids), signal.SIGKILL)
+        deadline = time.monotonic() + self.KILL_NOTICE_S
+        while time.monotonic() < deadline:
+            try:
+                self._pool.submit(_warmup).result()
+            except concurrent.futures.process.BrokenProcessPool:
+                return
+            time.sleep(0.01)
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         if self.workers <= 1 or len(items) <= 1:
