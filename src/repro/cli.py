@@ -364,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--numeric-backend", choices=("numpy-ref", "blas"), default=None,
         help="numeric backend for the training GEMMs (default: "
-        "REPRO_NUMERIC_BACKEND or numpy-ref); both produce bit-identical "
-        "results, blas opens the BLAS threadpool",
+        "REPRO_NUMERIC_BACKEND or numpy-ref); blas opens the BLAS "
+        "threadpool and agrees with numpy-ref to float32 rounding",
     )
     cmd.add_argument(
         "--dp-fit", action="store_true",

@@ -56,6 +56,30 @@ def edit_distance(a: str, b: str, cap: int = 3) -> int:
     return min(previous[len(b)], cap + 1)
 
 
+def _within_one_edit(a: str, b: str) -> bool:
+    """``edit_distance(a, b, cap=1) <= 1`` in one linear pass.
+
+    Equal lengths: at most one mismatching position.  Lengths differing
+    by one: after the common prefix, the rest of the shorter name equals
+    the rest of the longer one with one character skipped.  The full
+    table of :func:`edit_distance` never exits early on near-equal
+    names, so it costs O(len(a) * len(b)) exactly where this is O(len).
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    extra = len(b) - len(a)
+    if extra > 1:
+        return False
+    prefix = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        prefix += 1
+    # Skip one character of the longer name (a deletion), or of both
+    # (a substitution) when the lengths are equal.
+    return a[prefix + 1 - extra :] == b[prefix + 1 :]
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class ProductPair:
     """A candidate product-name pair under one vendor."""
@@ -144,11 +168,13 @@ def _product_pairs_shard(
             for expanded in by_abbrev.get(product, ()):
                 add(product, expanded, "abbreviation")
         # Bounded edit distance within the vendor.  For the default cap
-        # of 1, single-deletion signatures block the candidates exactly
-        # (two names are within one edit iff they share a signature), so
-        # the all-pairs scan — quadratic in the size of a vendor's
-        # product set, the pipeline's worst scaling term — only runs as
-        # a fallback for larger caps.
+        # of 1, single-deletion signatures block the candidates: two
+        # names within one edit always share a signature, so the
+        # all-pairs scan — quadratic in the size of a vendor's product
+        # set, the pipeline's worst scaling term — only runs as a
+        # fallback for larger caps.  The converse does not hold (``ab``
+        # and ``ba`` share ``a`` at distance 2), so every blocked pair
+        # is still checked.
         if edit_distance_cap == 1:
             by_signature: dict[str, list[int]] = {}
             for index, product in enumerate(ordered):
@@ -165,7 +191,7 @@ def _product_pairs_shard(
                         candidates.add((ia, ib) if ia < ib else (ib, ia))
             for ia, ib in sorted(candidates):
                 a, b = ordered[ia], ordered[ib]
-                if edit_distance(a, b, cap=1) <= 1:
+                if _within_one_edit(a, b):
                     add(a, b, "edit-distance")
         else:
             for i, a in enumerate(ordered):

@@ -161,7 +161,7 @@ class EngineConfig:
     backend: str | None = None
     #: numeric backend the training/prediction GEMMs run on:
     #: "numpy-ref" (single-threaded equivalence reference) or "blas"
-    #: (threaded OpenBLAS, bit-identical kernels).  None → the
+    #: (threaded OpenBLAS, equal to float32 rounding).  None → the
     #: ``REPRO_NUMERIC_BACKEND`` environment variable / "numpy-ref".
     numeric_backend: str | None = None
     #: data-parallel ``fit``: shard every minibatch's gradient work

@@ -1,20 +1,23 @@
 """Pluggable numeric backends for the training hot path.
 
 Every contraction in the ML stack — the im2col Conv1D GEMMs, the Dense
-GEMMs, the SVR Gram matrix, the ridge-regression normal equations, and
-the fused Adam update — routes through one :class:`NumericBackend`.
-Two backends implement the contract:
+GEMMs, the SVR Gram matrix and the ridge-regression normal equations —
+routes through one :class:`NumericBackend`.  Two backends implement the
+contract:
 
 - ``numpy-ref`` — the equivalence reference.  GEMMs run through
   ``np.matmul`` with the BLAS threadpool pinned to one thread, which is
   exactly the arithmetic every pre-backend number was produced with.
-- ``blas`` — the threaded-BLAS path.  The same ``np.matmul`` kernels,
+- ``blas`` — the threaded-BLAS path.  The same ``np.matmul`` calls,
   but with the OpenBLAS threadpool opened up to ``REPRO_BLAS_THREADS``
   (default: all cores), so the large training GEMMs use every core the
-  BLAS can reach.  OpenBLAS parallelises GEMM over *output* blocks —
-  the reduction over the shared dimension keeps one fixed order — so
-  results stay **bit-identical** to the single-threaded reference
-  (pinned by ``tests/test_perf_equivalence.py``).
+  BLAS can reach.  Results are **not** bit-identical to ``numpy-ref``
+  once OpenBLAS actually threads a GEMM: the threaded kernels may pick
+  different blockings and summation orders, so float32 results differ
+  in the last bits (a CNN fit at the paper's shape drifts by ~1e-6).
+  ``tests/test_perf_equivalence.py`` pins the agreement to a float32
+  tolerance.  Small GEMMs that OpenBLAS runs on one thread stay
+  bit-identical.
 
 Thread control talks to the OpenBLAS runtime numpy bundles via
 ``ctypes`` (``scipy_openblas_set_num_threads64_`` and friends).  When
@@ -38,6 +41,7 @@ import ctypes
 import glob
 import os
 import pathlib
+import threading
 from collections.abc import Iterator
 
 import numpy as np
@@ -203,13 +207,12 @@ def _get_blas_threads() -> int | None:
 
 
 class NumericBackend:
-    """Routes the training GEMMs and the Adam update.
+    """Routes the training GEMMs.
 
-    Both backends call the same ``np.matmul`` kernels and the same
-    fused update arithmetic — what a backend controls is the BLAS
-    threadpool those kernels run on.  Keeping the arithmetic shared is
-    what makes ``numpy-ref`` and ``blas`` bit-identical, the property
-    the equivalence suite pins.
+    Both backends call the same ``np.matmul`` — what a backend controls
+    is the BLAS threadpool those calls run on.  A single-threaded GEMM
+    is deterministic, so ``numpy-ref`` is the bit-exact reference;
+    ``blas`` agrees with it to float32 rounding, not bit for bit.
     """
 
     name: str = "numpy-ref"
@@ -229,44 +232,6 @@ class NumericBackend:
         if out is not None:
             return np.matmul(a, b, out=out)
         return a @ b
-
-    def adam_step(
-        self,
-        param: "object",
-        m: np.ndarray,
-        v: np.ndarray,
-        scratch: np.ndarray,
-        scratch2: np.ndarray,
-        beta1: float,
-        beta2: float,
-        step_scale: float,
-        inv_sqrt_bias2: float,
-        epsilon: float,
-    ) -> None:
-        """One fused in-place Adam update for a single parameter.
-
-        The reference arithmetic, shared by every backend (the update is
-        memory-bound elementwise work — there is nothing for a threaded
-        BLAS to win here, and sharing the expression keeps backends
-        bit-identical by construction).
-        """
-        grad = param.grad
-        # m = beta1 * m + (1 - beta1) * grad
-        np.multiply(m, beta1, out=m)
-        np.multiply(grad, 1.0 - beta1, out=scratch)
-        m += scratch
-        # v = beta2 * v + (1 - beta2) * grad**2
-        np.multiply(v, beta2, out=v)
-        np.multiply(grad, grad, out=scratch)
-        scratch *= 1.0 - beta2
-        v += scratch
-        # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
-        np.sqrt(v, out=scratch)
-        scratch *= inv_sqrt_bias2
-        scratch += epsilon
-        np.multiply(m, step_scale, out=scratch2)
-        scratch2 /= scratch
-        param.value -= scratch2
 
 
 class NumpyRefBackend(NumericBackend):
@@ -302,18 +267,40 @@ def get_backend(name: str | None = None) -> NumericBackend:
     return backend
 
 
-#: the explicitly installed backend, or None → resolve from environment
-#: on every lookup (cheap: one dict get).  ``use_backend`` regions with
-#: *different* names must not overlap across threads; the training code
-#: never does (one fit at a time, and all of one fit's shard tasks
-#: carry the same name).
-_OVERRIDE: NumericBackend | None = None
+class _Region:
+    """One open :func:`use_backend` region and what it must restore."""
+
+    __slots__ = ("backend", "depth", "previous", "previous_threads")
+
+    def __init__(
+        self,
+        backend: NumericBackend,
+        previous: "_Region | None",
+        previous_threads: int | None,
+    ) -> None:
+        self.backend = backend
+        #: open ``use_backend`` calls of this backend (nested or from
+        #: concurrent threads) sharing this region.
+        self.depth = 1
+        self.previous = previous
+        self.previous_threads = previous_threads
+
+
+#: the innermost open region, or None → resolve from environment on
+#: every lookup (cheap: one dict get).  Regions of the *same* backend
+#: may overlap freely across threads — they share one region, and only
+#: the last to exit restores.  Regions with *different* names must not
+#: overlap across threads; the training code never does (one numeric
+#: backend per fit, and every model of one engine uses the same one).
+_TOP: _Region | None = None
+_REGIONS_LOCK = threading.Lock()
 
 
 def active_backend() -> NumericBackend:
     """The backend the ML kernels route through right now."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
+    top = _TOP
+    if top is not None:
+        return top.backend
     return get_backend(None)
 
 
@@ -322,22 +309,31 @@ def use_backend(name: str | None) -> Iterator[NumericBackend]:
     """Install a backend (and its threadpool size) for a code region.
 
     The previous backend — and the previous BLAS threadpool size, when
-    the runtime exposes it — are restored on exit.  Entering the region
-    of the already-active backend is free (no threadpool churn), which
-    is the common case for shard tasks on the serial/thread executors.
+    the runtime exposes it — are restored when the region closes.
+    Entering the already-active backend joins its region instead of
+    opening a new one (no threadpool churn, the common case for shard
+    and model tasks on the serial/thread executors), and the region
+    closes — restoring the saved state — only when the last call that
+    joined it exits.  So one thread finishing its ``lr`` fit never
+    reopens the threadpool under another thread's CNN fit.
     """
-    global _OVERRIDE
+    global _TOP
     backend = get_backend(name)
-    if _OVERRIDE is not None and _OVERRIDE.name == backend.name:
-        yield backend
-        return
-    previous = _OVERRIDE
-    previous_threads = _get_blas_threads()
-    _OVERRIDE = backend
-    backend.activate()
+    with _REGIONS_LOCK:
+        region = _TOP
+        if region is not None and region.backend is backend:
+            region.depth += 1
+        else:
+            region = _Region(backend, _TOP, _get_blas_threads())
+            _TOP = region
+            backend.activate()
     try:
         yield backend
     finally:
-        _OVERRIDE = previous
-        if previous_threads is not None:
-            _set_blas_threads(previous_threads)
+        with _REGIONS_LOCK:
+            region.depth -= 1
+            if region.depth == 0:
+                if _TOP is region:
+                    _TOP = region.previous
+                if region.previous_threads is not None:
+                    _set_blas_threads(region.previous_threads)

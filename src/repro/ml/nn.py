@@ -13,11 +13,24 @@ equivalent, and the layer widths (64/64/128/128 conv + 512 dense, DNN
 
 Hot-path notes: every contraction routes through BLAS matmuls (the
 convolution gradients fold their batch and length axes into one GEMM
-instead of an ``einsum`` that numpy cannot dispatch to BLAS), layers
-reuse persistent scratch buffers instead of reallocating per batch,
-the Adam step updates its moments in place, and the whole stack runs
-in float32 when asked (``Sequential.astype`` / ``fit(dtype=...)``) for
-another ~2x on memory-bound layers.
+instead of an ``einsum`` that numpy cannot dispatch to BLAS), and the
+whole stack runs in float32 when asked (``Sequential.astype`` /
+``fit(dtype=...)``) for another ~2x on memory-bound layers.  Three
+choices keep a training step free of per-parameter passes:
+
+- **One flat buffer per network.**  :class:`Adam` adopts the model's
+  parameters into one contiguous value buffer and one contiguous
+  gradient buffer, and re-points every ``Parameter.value``/``.grad``
+  at a reshaped view of them, so the :class:`Parameter` API is
+  unchanged.
+- **Blocked Adam.**  The step runs its fixed sequence of in-place
+  elementwise passes over blocks of :data:`ADAM_BLOCK` elements, so a
+  block's live arrays stay cache-resident.  Elementwise arithmetic is
+  per-element, so the block size never changes a bit of the result.
+- **Backward overwrites gradients.**  ``Dense`` and ``Conv1D`` write
+  their weight-gradient GEMM straight into ``param.grad`` and their
+  bias sums with ``np.sum(..., out=...)``; the serial minibatch path
+  therefore needs no ``zero_grad`` and no accumulation pass.
 
 Parallel execution: :meth:`Sequential.predict` and :func:`fit` accept a
 :class:`repro.runtime.Executor`.  Work shards along the batch axis in
@@ -43,7 +56,10 @@ the worker count — so training at 1, 2 or 4 workers on any executor
 backend produces bit-identical weights.  Every contraction routes
 through the pluggable numeric backend (:mod:`repro.ml.backend`):
 ``numpy-ref`` is the single-threaded equivalence reference, ``blas``
-opens the OpenBLAS threadpool under the same kernels.
+opens the OpenBLAS threadpool under the same kernels (whose threaded
+GEMMs may round differently in the last float bits).  The sharded
+paths run their backward passes on clones with private gradients; the
+parent zeroes the flat gradient buffer and accumulates into it.
 """
 
 from __future__ import annotations
@@ -78,6 +94,7 @@ __all__ = [
     "Sequential",
     "MSELoss",
     "Adam",
+    "ADAM_BLOCK",
     "DP_SHARD_ROWS",
     "GRAD_CHUNK_ROWS",
     "fit",
@@ -97,9 +114,15 @@ GRAD_CHUNK_ROWS = 4096
 #: count.
 DP_SHARD_ROWS = 16
 
+#: elements per :meth:`Adam.step` block.  At float32 a block's six live
+#: arrays (value, gradient, two moments, two scratch) take 1.5 MiB, so
+#: they stay in L2 across the step's thirteen passes.  Any size gives
+#: the same bits; this one only decides the speed.
+ADAM_BLOCK = 65_536
+
 
 class Parameter:
-    """A trainable tensor with its accumulated gradient."""
+    """A trainable tensor with its gradient."""
 
     __slots__ = ("value", "grad")
 
@@ -117,7 +140,14 @@ class Parameter:
 
 
 class Layer:
-    """Base class: forward caches what backward needs."""
+    """Base class: forward caches what backward needs.
+
+    ``backward`` *overwrites* each parameter's ``grad`` with this
+    batch's gradient (it never accumulates), so a training step needs
+    no ``zero_grad`` before it.  Paths that sum gradients over several
+    backward passes run each pass on a :meth:`worker_copy` and add the
+    clones' gradients up themselves.
+    """
 
     #: attributes holding per-call forward/scratch state; cleared on
     #: :meth:`worker_copy` so clones never alias the donor's caches.
@@ -165,7 +195,7 @@ class Dense(Layer):
     activations that follow most layers here.
     """
 
-    _STATE_ATTRS = ("_input", "_wgrad")
+    _STATE_ATTRS = ("_input",)
 
     def __init__(
         self,
@@ -183,9 +213,6 @@ class Dense(Layer):
         )
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
         self._input: np.ndarray | None = None
-        #: scratch for the weight-gradient GEMM, reused across batches
-        #: (the product is as large as the weight matrix itself).
-        self._wgrad: np.ndarray | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -207,13 +234,8 @@ class Dense(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._input is not None, "backward called before forward"
         backend = active_backend()
-        wgrad = self._wgrad
-        shape = self.weight.value.shape
-        if wgrad is None or wgrad.shape != shape or wgrad.dtype != grad.dtype:
-            wgrad = self._wgrad = np.empty(shape, dtype=grad.dtype)
-        backend.matmul(self._input.T, grad, out=wgrad)
-        self.weight.grad += wgrad
-        self.bias.grad += grad.sum(axis=0)
+        backend.matmul(self._input.T, grad, out=self.weight.grad)
+        np.sum(grad, axis=0, out=self.bias.grad)
         return backend.matmul(grad, self.weight.value.T)
 
 
@@ -229,7 +251,6 @@ class Conv1D(Layer):
         "_padded",
         "_grad_columns",
         "_grad_padded",
-        "_wgrad",
     )
 
     def __init__(
@@ -259,7 +280,6 @@ class Conv1D(Layer):
         self._padded: np.ndarray | None = None
         self._grad_columns: np.ndarray | None = None
         self._grad_padded: np.ndarray | None = None
-        self._wgrad: np.ndarray | None = None
         self._batch = 0
         self._input_length = 0
         self._in_channels = in_channels
@@ -319,14 +339,14 @@ class Conv1D(Layer):
         out_channels = grad.shape[2]
         flat_grad = np.ascontiguousarray(grad).reshape(batch * length, out_channels)
         backend = active_backend()
-        wgrad = self._scratch(
-            "_wgrad",
-            (self.kernel_size * in_channels, out_channels),
-            flat_grad.dtype,
+        # Parameter gradients are C-contiguous, so the reshape is a view
+        # and the GEMM writes straight into the kernel's gradient.
+        backend.matmul(
+            self._columns.T,
+            flat_grad,
+            out=self.weight.grad.reshape(-1, out_channels),
         )
-        backend.matmul(self._columns.T, flat_grad, out=wgrad)
-        self.weight.grad += wgrad.reshape(self.weight.value.shape)
-        self.bias.grad += flat_grad.sum(axis=0)
+        np.sum(flat_grad, axis=0, out=self.bias.grad)
         flat_weight = self.weight.value.reshape(-1, out_channels)
         grad_columns = self._scratch(
             "_grad_columns",
@@ -575,10 +595,21 @@ class MSELoss:
 class Adam:
     """Adam optimizer (Kingma & Ba), lr=0.001 as in the paper.
 
-    The step is fused: moments update in place and the parameter delta
-    is assembled in two reusable scratch buffers per parameter, so a
-    step performs zero heap allocations after the first call.  The
-    arithmetic matches the textbook formulation term for term.
+    Construction *adopts* the parameters: their current values and
+    gradients are copied into one contiguous value buffer and one
+    contiguous gradient buffer, and each ``Parameter.value``/``.grad``
+    is re-pointed at a reshaped view of its slice.  Code that writes a
+    parameter in place (``param.grad[...] = g``, ``param.value -= d``)
+    keeps working; rebinding ``param.value``/``param.grad`` to a new
+    array after construction detaches it from the optimizer.
+
+    The step walks the buffers in blocks of :data:`ADAM_BLOCK` elements
+    and runs the same thirteen in-place elementwise passes on each
+    block, reusing two block-sized scratch arrays, so a step performs
+    no heap allocations and its Python overhead scales with the block
+    count rather than the parameter count.  The arithmetic matches the
+    textbook formulation term for term (up to the scalar folding noted
+    in :meth:`step`).
     """
 
     def __init__(
@@ -595,14 +626,32 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self._step = 0
-        self._m = [np.zeros_like(p.value) for p in parameters]
-        self._v = [np.zeros_like(p.value) for p in parameters]
-        self._scratch = [np.empty_like(p.value) for p in parameters]
-        self._scratch2 = [np.empty_like(p.value) for p in parameters]
+        dtype = (
+            np.result_type(*(p.value for p in parameters))
+            if parameters
+            else np.dtype(np.float64)
+        )
+        total = sum(p.value.size for p in parameters)
+        self._value = np.empty(total, dtype=dtype)
+        self._grad = np.empty(total, dtype=dtype)
+        offset = 0
+        for param in parameters:
+            size, shape = param.value.size, param.value.shape
+            value = self._value[offset : offset + size].reshape(shape)
+            grad = self._grad[offset : offset + size].reshape(shape)
+            value[...] = param.value
+            grad[...] = param.grad
+            param.value, param.grad = value, grad
+            offset += size
+        self._m = np.zeros(total, dtype=dtype)
+        self._v = np.zeros(total, dtype=dtype)
+        self._block = ADAM_BLOCK
+        width = min(self._block, total)
+        self._scratch = np.empty(width, dtype=dtype)
+        self._scratch2 = np.empty(width, dtype=dtype)
 
     def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
+        self._grad.fill(0.0)
 
     def step(self) -> None:
         self._step += 1
@@ -613,22 +662,32 @@ class Adam:
         # memory pass over every parameter — the step is memory-bound.
         step_scale = self.learning_rate / bias1
         inv_sqrt_bias2 = 1.0 / np.sqrt(bias2)
-        backend = active_backend()
-        for param, m, v, s, t in zip(
-            self.parameters, self._m, self._v, self._scratch, self._scratch2
-        ):
-            backend.adam_step(
-                param,
-                m,
-                v,
-                s,
-                t,
-                self.beta1,
-                self.beta2,
-                step_scale,
-                inv_sqrt_bias2,
-                self.epsilon,
-            )
+        beta1, beta2, epsilon = self.beta1, self.beta2, self.epsilon
+        total = self._value.size
+        for lo in range(0, total, self._block):
+            hi = min(lo + self._block, total)
+            value = self._value[lo:hi]
+            grad = self._grad[lo:hi]
+            m = self._m[lo:hi]
+            v = self._v[lo:hi]
+            scratch = self._scratch[: hi - lo]
+            scratch2 = self._scratch2[: hi - lo]
+            # m = beta1 * m + (1 - beta1) * grad
+            np.multiply(m, beta1, out=m)
+            np.multiply(grad, 1.0 - beta1, out=scratch)
+            m += scratch
+            # v = beta2 * v + (1 - beta2) * grad**2
+            np.multiply(v, beta2, out=v)
+            np.multiply(grad, grad, out=scratch)
+            scratch *= 1.0 - beta2
+            v += scratch
+            # value -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.sqrt(v, out=scratch)
+            scratch *= inv_sqrt_bias2
+            scratch += epsilon
+            np.multiply(m, step_scale, out=scratch2)
+            scratch2 /= scratch
+            value -= scratch2
 
 
 class _GradShard:
@@ -794,12 +853,13 @@ def fit(
                 batches = 0
                 for start in range(0, n, batch_size):
                     idx = order[start : start + batch_size]
-                    optimizer.zero_grad()
                     if len(idx) <= shard_rows:
+                        # backward overwrites every gradient: no zeroing.
                         prediction = model.forward(x[idx])
                         loss = loss_fn.forward(prediction, y[idx])
                         model.backward(loss_fn.backward())
                     else:
+                        optimizer.zero_grad()
                         total_elements = len(idx) * per_row
                         idx_shards = [
                             idx[lo : lo + shard_rows]

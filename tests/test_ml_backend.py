@@ -1,17 +1,21 @@
 """The pluggable numeric backend (`repro.ml.backend`).
 
-Selection, environment resolution, fail-loudly validation, the
-use_backend context discipline, and the bit-identity of the two
-backends' kernels (they share the same np.matmul/Adam arithmetic by
-construction).
+Selection, environment resolution, fail-loudly validation, and the
+use_backend context discipline, including same-backend regions that
+overlap across threads.  Both backends call the same np.matmul; they
+agree bit for bit only on GEMMs too small for OpenBLAS to thread (see
+``tests/test_perf_equivalence.py`` for the paper-shape tolerance).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.severity import EngineConfig
+from repro.ml import backend as backend_module
 from repro.ml.backend import (
     NUMERIC_BACKENDS,
     NumpyRefBackend,
@@ -99,7 +103,8 @@ class TestBackendInstances:
         assert get_backend("blas").threads() == 4
         assert ThreadedBlasBackend(threads=2).threads() == 2
 
-    def test_matmul_bit_identical_across_backends(self):
+    def test_small_matmul_bit_identical_across_backends(self):
+        """A GEMM this small runs on one BLAS thread on either backend."""
         rng = np.random.default_rng(5)
         a = rng.standard_normal((64, 48)).astype(np.float32)
         b = rng.standard_normal((48, 32)).astype(np.float32)
@@ -137,6 +142,81 @@ class TestUseBackend:
             with use_backend("numpy-ref"):
                 assert active_backend() is first
             assert active_backend() is first
+
+    def test_overlapping_threads_restore_only_on_last_exit(self):
+        """Two threads share one numpy-ref region; the first to leave
+        must not reopen the BLAS threadpool under the other."""
+        if backend_module._get_blas_threads() is None:
+            pytest.skip("no BLAS thread control in this numpy build")
+        original = backend_module._get_blas_threads()
+        backend_module._set_blas_threads(2)
+        steps = [threading.Event() for _ in range(4)]
+        seen: dict[str, object] = {}
+
+        def first():
+            with use_backend("numpy-ref"):
+                steps[0].set()  # first is inside
+                steps[1].wait(10)  # second is inside too
+            steps[2].set()  # first has left
+
+        def second():
+            steps[0].wait(10)
+            with use_backend("numpy-ref"):
+                steps[1].set()
+                steps[2].wait(10)
+                seen["threads"] = backend_module._get_blas_threads()
+                seen["backend"] = active_backend().name
+            steps[3].set()
+
+        try:
+            threads = [threading.Thread(target=f) for f in (first, second)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(20)
+            assert steps[3].is_set()
+            assert seen == {"threads": 1, "backend": "numpy-ref"}
+            assert backend_module._get_blas_threads() == 2
+            assert backend_module._TOP is None
+        finally:
+            backend_module._set_blas_threads(original)
+
+    def test_many_threads_churning_one_backend(self):
+        """More threads than cores enter and leave numpy-ref regions at
+        a short switch interval: inside, every thread sees one BLAS
+        thread; after, the saved count is back and no region is open."""
+        if backend_module._get_blas_threads() is None:
+            pytest.skip("no BLAS thread control in this numpy build")
+        import sys
+        import time
+
+        original = backend_module._get_blas_threads()
+        backend_module._set_blas_threads(2)
+        interval = sys.getswitchinterval()
+        wrong: list[int | None] = []
+
+        def churn():
+            for _ in range(200):
+                with use_backend("numpy-ref"):
+                    time.sleep(0)  # let other threads enter and leave
+                    threads = backend_module._get_blas_threads()
+                    if threads != 1:
+                        wrong.append(threads)
+
+        try:
+            sys.setswitchinterval(1e-6)
+            workers = [threading.Thread(target=churn) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert wrong == []
+            assert backend_module._get_blas_threads() == 2
+            assert backend_module._TOP is None
+        finally:
+            sys.setswitchinterval(interval)
+            backend_module._set_blas_threads(original)
 
     def test_restores_after_exception(self):
         before = active_backend().name

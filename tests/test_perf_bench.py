@@ -135,6 +135,33 @@ class TestBenchSchema:
         assert bench.validate(data) == []
 
 
+class TestLayerTimers:
+    def test_records_every_layer_and_restores(self, snapshot):
+        from repro.core import EngineConfig, SeverityPredictionEngine
+        from repro.core import severity
+        from repro.ml import nn
+
+        originals = (severity._build_cnn, nn.Dense.forward, nn.Adam.step)
+        entries = [e for e in snapshot if e.cvss_v2 is not None]
+        config = EngineConfig(epochs=1, models=("cnn", "dnn"), workers=1)
+        with bench.layer_timers() as seconds:
+            SeverityPredictionEngine(config).fit(entries)
+        assert (severity._build_cnn, nn.Dense.forward, nn.Adam.step) == originals
+        for name in (
+            "severity.fit.cnn.00_conv1d1x64.forward",
+            "severity.fit.cnn.09_dense1664x512.backward",
+            "severity.fit.cnn.12_sigmoid.backward",
+            "severity.fit.cnn.adam.step",
+            "severity.fit.dnn.00_dense13x128.backward",
+            "severity.fit.dnn.adam.step",
+        ):
+            assert seconds[name] > 0, name
+        # 13 CNN + 10 DNN layers, forward and backward, plus two steps.
+        assert len(seconds) == 2 * (13 + 10) + 2
+        run = TestBenchSchema()._run(phases=dict(seconds, dates=0.5))
+        assert bench.validate({"schema": bench.SCHEMA, "runs": [run]}) == []
+
+
 class TestScaleValidation:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)

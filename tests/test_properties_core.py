@@ -4,7 +4,7 @@ import datetime
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.products import edit_distance
+from repro.core.products import _within_one_edit, edit_distance
 from repro.core.vendors import _UnionFind, longest_common_substring
 from repro.synth.names import abbreviate, tokenize_name
 
@@ -12,6 +12,25 @@ names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-!. ", min_size=0, max_size=20
 )
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12)
+#: short strings over a few ASCII and non-ASCII letters, so random pairs
+#: often collide; includes the empty string.
+small_unicode = st.text(alphabet="abé_ß\u4e2d\U0001f600", min_size=0, max_size=8)
+
+
+@st.composite
+def near_pairs(draw):
+    """``(a, b)`` where ``b`` is ``a`` after zero, one or two random edits."""
+    a = draw(small_unicode)
+    b = a
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("insert", "delete", "substitute")))
+        at = draw(st.integers(0, len(b)))
+        char = draw(st.sampled_from("abé\u4e2d"))
+        if kind == "insert":
+            b = b[:at] + char + b[at:]
+        elif b and at < len(b):
+            b = b[:at] + (char if kind == "substitute" else "") + b[at + 1 :]
+    return a, b
 
 
 class TestLcsProperties:
@@ -49,6 +68,33 @@ class TestEditDistanceProperties:
     @given(words, words)
     def test_never_exceeds_cap_plus_one(self, a, b):
         assert edit_distance(a, b, cap=2) <= 3
+
+
+class TestWithinOneEditProperties:
+    """The linear one-edit check agrees with the capped DP table."""
+
+    @staticmethod
+    def _agrees(a: str, b: str) -> None:
+        assert _within_one_edit(a, b) == (edit_distance(a, b, cap=1) <= 1)
+        assert _within_one_edit(b, a) == _within_one_edit(a, b)
+
+    @given(near_pairs())
+    def test_matches_edit_distance_on_near_pairs(self, pair):
+        self._agrees(*pair)
+
+    @given(small_unicode, small_unicode)
+    def test_matches_edit_distance_on_random_pairs(self, a, b):
+        self._agrees(a, b)
+
+    @given(small_unicode)
+    def test_equal_strings_are_within_one_edit(self, a):
+        assert _within_one_edit(a, a)
+
+    def test_edge_cases(self):
+        for a, b in [("", ""), ("", "x"), ("", "xy"), ("ab", "ba"),
+                     ("abc", "abd"), ("abc", "ac"), ("abc", "bca"),
+                     ("\u4e2d", "\U0001f600"), ("naïve", "naive")]:
+            self._agrees(a, b)
 
 
 class TestTokenizeProperties:

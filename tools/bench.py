@@ -28,6 +28,7 @@ Usage::
         --workers-sweep 1,2,4 --dp-fit              # multi-core scaling curve
     PYTHONPATH=src python tools/bench.py --scales 0.02 --backend process \
         --workers 2 --trace trace.json            # Perfetto span trace
+    PYTHONPATH=src python tools/bench.py --scales 0.075 --epochs 8 --layers
     PYTHONPATH=src python tools/bench.py --check-schema BENCH_pipeline.json
 
 ``--workers-sweep 1,2,4`` appends one labelled run per worker count
@@ -35,6 +36,13 @@ Usage::
 numeric-backend scaling curve; combine with ``--dp-fit`` (data-parallel
 gradient sharding) and ``--numeric-backend blas`` for the multi-core
 configuration.
+
+``--layers`` adds per-layer training phases,
+``severity.fit.<model>.<layer>.{forward,backward}`` for every layer of
+the §4.3 CNN and DNN plus ``severity.fit.<model>.adam.step``.  The tool
+wraps those methods itself for the duration of the run; nothing inside
+``src/`` is instrumented, so normal runs pay nothing.  It times this
+process only, so it needs one worker and no ``--dp-fit``.
 """
 
 from __future__ import annotations
@@ -93,6 +101,87 @@ def validate(data: object) -> list[str]:
     return errors
 
 
+def _layer_label(index: int, layer: object) -> str:
+    """``<index>_<kind>``, e.g. ``09_dense1664x512`` or ``01_relu``."""
+    kind = type(layer).__name__.lower()
+    weight = getattr(layer, "weight", None)
+    if weight is not None:
+        shape = weight.value.shape
+        kind += f"{shape[-2]}x{shape[-1]}"
+    return f"{index:02d}_{kind}"
+
+
+@contextlib.contextmanager
+def layer_timers():
+    """Time each §4.3 network layer's forward/backward and Adam step.
+
+    Yields a ``{phase name: seconds}`` dict filled while the block runs.
+    The engine's network builders are wrapped so every network they
+    build registers its layers by identity; the layer classes'
+    ``forward``/``backward`` and ``Adam.step`` are wrapped to time the
+    registered objects and pass any other call straight through.
+    Everything is restored on exit.
+    """
+    from repro.core import severity
+    from repro.ml import nn
+
+    seconds: dict[str, float] = {}
+    names: dict[int, str] = {}  # id(layer or first Parameter) -> phase prefix
+    patches: list[tuple[object, str, object]] = []
+
+    def patch(owner: object, attr: str, replacement: object) -> None:
+        patches.append((owner, attr, owner.__dict__[attr]))
+        setattr(owner, attr, replacement)
+
+    def timed(inner, key_of, suffix: str):
+        def wrapper(self, *args, **kwargs):
+            prefix = names.get(key_of(self))
+            if prefix is None:
+                return inner(self, *args, **kwargs)
+            start = time.perf_counter()
+            try:
+                return inner(self, *args, **kwargs)
+            finally:
+                name = f"{prefix}.{suffix}"
+                seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+
+        return wrapper
+
+    def builder(inner, model: str):
+        def build(*args, **kwargs):
+            network = inner(*args, **kwargs)
+            for index, layer in enumerate(network.layers):
+                names[id(layer)] = (
+                    f"severity.fit.{model}.{_layer_label(index, layer)}"
+                )
+            parameters = network.parameters()
+            if parameters:
+                names[id(parameters[0])] = f"severity.fit.{model}.adam"
+            return network
+
+        return build
+
+    try:
+        patch(severity, "_build_cnn", builder(severity._build_cnn, "cnn"))
+        patch(severity, "_build_dnn", builder(severity._build_dnn, "dnn"))
+        for cls in (nn.Conv1D, nn.Dense, nn.Flatten, nn.ReLU, nn.Sigmoid):
+            for method in ("forward", "backward"):
+                patch(cls, method, timed(cls.__dict__[method], id, method))
+        patch(
+            nn.Adam,
+            "step",
+            timed(
+                nn.Adam.step,
+                lambda opt: id(opt.parameters[0]) if opt.parameters else None,
+                "step",
+            ),
+        )
+        yield seconds
+    finally:
+        for owner, attr, original in reversed(patches):
+            setattr(owner, attr, original)
+
+
 def load(path: pathlib.Path) -> dict:
     if path.exists():
         with path.open(encoding="utf-8") as handle:
@@ -112,6 +201,7 @@ def bench_one(
     numeric_backend: str | None = None,
     data_parallel: bool | None = None,
     trace_path: str | None = None,
+    layers: bool = False,
 ) -> dict:
     """Run generate + clean at one (scale, scenario) and return the run
     record."""
@@ -140,6 +230,11 @@ def bench_one(
     )
     resolved_numeric = resolve_numeric_backend(numeric_backend)
     resolved_dp = resolve_data_parallel(data_parallel)
+    if layers and (executor.workers > 1 or resolved_dp):
+        executor.close()
+        raise SystemExit(
+            "[bench] --layers times this process only: use one worker, no --dp-fit"
+        )
     recorder = perf.get_recorder()
     recorder.reset()
     print(
@@ -151,7 +246,8 @@ def bench_one(
     trace_ctx = (
         trace_session(trace_path) if trace_path else contextlib.nullcontext()
     )
-    with trace_ctx:
+    layer_ctx = layer_timers() if layers else contextlib.nullcontext({})
+    with trace_ctx, layer_ctx as layer_seconds:
         t_generate = time.perf_counter()
         bundle = generate(config)
         generate_s = time.perf_counter() - t_generate
@@ -173,6 +269,9 @@ def bench_one(
 
     phases = {name: round(seconds, 3) for name, seconds in recorder.phase_seconds().items()}
     phases["generate"] = round(generate_s, 3)
+    phases.update(
+        (name, round(value, 3)) for name, value in sorted(layer_seconds.items())
+    )
     return {
         "label": label,
         "scenario": scenario.name,
@@ -262,6 +361,11 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", type=pathlib.Path, default=None, metavar="PATH",
         help="write a Chrome trace-event JSON (Perfetto-loadable) of each "
         "run; with multiple runs, files are suffixed -<run index>",
+    )
+    parser.add_argument(
+        "--layers", action="store_true",
+        help="also record per-layer training phases "
+        "(severity.fit.<model>.<layer>.*); needs one worker, no --dp-fit",
     )
     parser.add_argument(
         "--output", type=pathlib.Path, default=DEFAULT_OUTPUT,
@@ -354,6 +458,7 @@ def main(argv: list[str] | None = None) -> int:
                     numeric_backend=args.numeric_backend,
                     data_parallel=True if args.dp_fit else None,
                     trace_path=trace_path,
+                    layers=args.layers,
                 )
                 earlier = [
                     r
