@@ -103,7 +103,7 @@ class TestBackendInstances:
         assert get_backend("blas").threads() == 4
         assert ThreadedBlasBackend(threads=2).threads() == 2
 
-    def test_small_matmul_bit_identical_across_backends(self):
+    def test_matmul_bit_identical_across_backends(self):
         """A GEMM this small runs on one BLAS thread on either backend."""
         rng = np.random.default_rng(5)
         a = rng.standard_normal((64, 48)).astype(np.float32)
