@@ -87,6 +87,13 @@ _MODEL_LOADERS = {
 assert set(_MODEL_LOADERS) == set(SUPPORTED_MODELS)
 
 
+#: ``EngineConfig`` fields that stores exported before their removal
+#: still carry in ``engine.json``.  They selected how training ran, not
+#: what the persisted models compute, so loading drops them; any other
+#: unknown field is still rejected.
+_RETIRED_CONFIG_KEYS = ("numeric_backend", "data_parallel")
+
+
 class ArtifactError(RuntimeError):
     """A missing, foreign-schema, or corrupt artifact store."""
 
@@ -424,6 +431,8 @@ def load_artifacts(
     engine_doc = _read_json(version_dir / "engine.json")
     config_doc = dict(engine_doc["config"])
     config_doc["models"] = tuple(config_doc.get("models", ()))
+    for key in _RETIRED_CONFIG_KEYS:
+        config_doc.pop(key, None)
     try:
         config = EngineConfig(**config_doc)
     except TypeError as error:

@@ -1,6 +1,7 @@
 """Versioned artifact store: export, load, verify, ingest."""
 
 import datetime
+import hashlib
 import json
 import shutil
 
@@ -24,6 +25,21 @@ def store(artifact_root, tmp_path):
     root = tmp_path / "store"
     shutil.copytree(artifact_root, root)
     return root
+
+
+def _edit_engine_config(root, **fields):
+    """Add ``fields`` to v0001's stored engine config and re-seal the
+    file's manifest sha256, as an export carrying them would have."""
+    version_dir = root / "v0001"
+    engine_path = version_dir / "engine.json"
+    engine_doc = json.loads(engine_path.read_text())
+    engine_doc["config"].update(fields)
+    engine_path.write_text(json.dumps(engine_doc))
+    manifest_path = version_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    digest = hashlib.sha256(engine_path.read_bytes()).hexdigest()
+    manifest["files"]["engine.json"]["sha256"] = digest
+    manifest_path.write_text(json.dumps(manifest))
 
 
 class TestExport:
@@ -102,6 +118,20 @@ class TestLoad:
         (store / "CURRENT").unlink()
         assert load_artifacts(store).version == "v0001"
 
+    def test_retired_config_fields_still_load(self, store, bundle):
+        """Stores exported while ``EngineConfig`` still had the numeric
+        backend and data-parallel fields load and predict unchanged."""
+        before = load_artifacts(store)
+        _edit_engine_config(store, numeric_backend=None, data_parallel=None)
+        after = load_artifacts(store)
+        assert after.engine.config == before.engine.config
+        scored = [e for e in bundle.snapshot.entries if e.cvss_v2 is not None][:300]
+        model = before.model_used
+        assert np.array_equal(
+            after.engine.predict_scores(scored, model=model),
+            before.engine.predict_scores(scored, model=model),
+        )
+
 
 class TestRejection:
     def test_foreign_schema_rejected(self, store):
@@ -131,6 +161,11 @@ class TestRejection:
     def test_missing_file_rejected(self, store):
         (store / "v0001" / "predictions.json.gz").unlink()
         with pytest.raises(ArtifactError, match="missing artifact file"):
+            load_artifacts(store)
+
+    def test_unknown_config_field_rejected(self, store):
+        _edit_engine_config(store, gpu_count=4)
+        with pytest.raises(ArtifactError, match="bad engine config"):
             load_artifacts(store)
 
     def test_garbage_manifest_rejected(self, store):
